@@ -4,7 +4,8 @@ The acceptance gate for :mod:`repro.fleet`: aggregate throughput of a
 4-worker fleet serving batch-granular tenant requests must reach at
 least 2.5x the single-daemon per-image figure tracked in
 ``BENCH_serving.json``.  The gate anchors on the committed figure (the
-full-length measurement the serving bench produced on this machine);
+full-length measurement the serving bench produced on whichever host
+last committed it, not necessarily this one);
 the same per-image load is also re-measured in-run and reported, both
 for machine fairness and as the fallback baseline when the committed
 artifact is absent.  The in-run number is deliberately not the gate:
@@ -30,6 +31,7 @@ the speedup floor.  Everything is seeded end to end.
 
 import asyncio
 import json
+import os
 import tempfile
 import threading
 import time
@@ -42,7 +44,7 @@ from conftest import bench_reduced, update_bench_artifact
 
 from repro.bnn.reactnet import build_small_bnn
 from repro.deploy import load_compressed_model, save_compressed_model
-from repro.fleet import FleetConfig, FleetRouter
+from repro.fleet import FleetConfig, FleetRouter, worker_thread_env
 from repro.serve import QueueFullError, ServeConfig, ServingDaemon
 from repro.store import ArtifactStore
 
@@ -225,6 +227,9 @@ def test_fleet_throughput_vs_single_daemon(tmp_path):
             "requests": int(requests),
             "block_size": BLOCK,
             "workers": WORKERS,
+            "cores": os.cpu_count(),
+            # the BLAS/OpenMP pins each worker process started with
+            "worker_blas_threads": worker_thread_env(WORKERS),
             "clients": CLIENTS,
             "channels": list(CHANNELS),
             "image_size": IMAGE_SIZE,

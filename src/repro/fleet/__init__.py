@@ -29,6 +29,7 @@ from .router import (
     RolloutError,
     RolloutResult,
     WorkerFailedError,
+    worker_thread_env,
 )
 from .wire import decode_frame, encode_frame
 from .worker import worker_main
@@ -48,4 +49,5 @@ __all__ = [
     "decode_frame",
     "encode_frame",
     "worker_main",
+    "worker_thread_env",
 ]

@@ -51,6 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -75,7 +76,31 @@ __all__ = [
     "RolloutError",
     "RolloutResult",
     "WorkerFailedError",
+    "worker_thread_env",
 ]
+
+#: thread-count variables of the BLAS/OpenMP runtimes numpy may load
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+)
+
+#: serialises the environment swap around a worker's start: restarts
+#: spawn from the monitor and receiver threads, and several routers may
+#: share one process
+_SPAWN_ENV_LOCK = threading.Lock()
+
+
+def worker_thread_env(workers: int) -> Dict[str, str]:
+    """The BLAS/OpenMP thread pins a fleet worker process starts with.
+
+    Each of :data:`BLAS_THREAD_VARS` is the worker's share of the cores,
+    ``max(1, os.cpu_count() // workers)``, unless the router's own
+    environment already sets it: an explicit pin always wins.  Without
+    the share every worker would load a pool of ``os.cpu_count()``
+    busy-waiting BLAS threads, oversubscribing the host ``workers``-fold.
+    """
+    share = str(max(1, (os.cpu_count() or 1) // workers))
+    return {name: os.environ.get(name, share) for name in BLAS_THREAD_VARS}
 
 
 class FleetError(RuntimeError):
@@ -111,7 +136,10 @@ class RolloutError(FleetError):
 class FleetConfig:
     """Knobs of the router and its worker processes."""
 
-    #: how many worker processes to run
+    #: how many worker processes to run; each spawned worker's
+    #: BLAS/OpenMP pool is sized to its share of the cores
+    #: (:func:`worker_thread_env`) unless ``OPENBLAS_NUM_THREADS``,
+    #: ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is set explicitly
     workers: int = 4
     #: per-worker daemon configuration (batcher, queue depth, threads)
     serve: ServeConfig = field(default_factory=ServeConfig)
@@ -344,7 +372,16 @@ class FleetRouter:
             name=f"repro-fleet-{handle.name}",
             daemon=True,
         )
-        process.start()
+        with _SPAWN_ENV_LOCK:
+            # the child inherits os.environ at start; the router's own
+            # environment is restored as soon as the child is running
+            unset = [n for n in BLAS_THREAD_VARS if n not in os.environ]
+            os.environ.update(worker_thread_env(self.config.workers))
+            try:
+                process.start()
+            finally:
+                for name in unset:
+                    os.environ.pop(name, None)
         worker_end.close()  # the child holds its own copy
         handle.process = process
         handle.conn = router_end

@@ -169,6 +169,37 @@ class TestFleetConfig:
         assert FleetConfig(max_inflight=7).tenant_inflight_bound == 7
 
 
+class TestWorkerThreadPins:
+    """Each worker's BLAS/OpenMP pool is sized to its share of the cores."""
+
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/environ"),
+        reason="needs /proc/<pid>/environ",
+    )
+    def test_unset_vars_get_core_share_and_explicit_pins_win(
+        self, monkeypatch
+    ):
+        workers = 2
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "7")
+        before = dict(os.environ)
+        with FleetRouter(_config(workers=workers)) as fleet:
+            after = dict(os.environ)
+            pid = fleet.status(snapshots=False)["workers"]["w0"]["pid"]
+            with open(f"/proc/{pid}/environ", "rb") as handle:
+                entries = handle.read().split(b"\0")
+        child = dict(
+            entry.decode().split("=", 1) for entry in entries if entry
+        )
+        share = str(max(1, os.cpu_count() // workers))
+        assert child["OPENBLAS_NUM_THREADS"] == share
+        assert child["OMP_NUM_THREADS"] == share
+        assert child["MKL_NUM_THREADS"] == "7"
+        # the swap is scoped to the spawn: the router's env is untouched
+        assert after == before
+
+
 # ----------------------------------------------------------------------
 # Serving across worker processes
 # ----------------------------------------------------------------------
