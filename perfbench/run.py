@@ -49,7 +49,6 @@ END_TO_END_UNITS = {
     "cold_start_s": "s",
     "reactnet_images_per_s": "images/s",
     "latency_p50_ms": "ms",
-    "daemon_rps": "images/s",
     "popcount_images_per_s": "images/s",
     "peak_rss_mb": "MB",
 }

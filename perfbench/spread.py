@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/spread.py --workload daemon-toy --runs 10 [--trace 1] [--out FILE]
+    python3 perfbench/spread.py --workload daemon-popcount --runs 10 [--trace 1] [--out FILE]
 
 Runs ``run.py`` once per seed (1..runs) and prints, for each metric, the
 median and the distance between the first and third quartile as a share

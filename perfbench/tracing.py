@@ -47,6 +47,7 @@ PER_LAYER_UNITS = {
     "serve.run_batch_s": "s",
     "serve.run_batch_ms_p50": "ms",
     "serve.latency_p90_ms": "ms",
+    "serve.closed_loop_rps": "images/s",
     "serve.generator_lag_ms_p50": "ms",
     "serve.generator_lag_ms_max": "ms",
     "hw.perf_s": "s",
