@@ -36,7 +36,7 @@ def main() -> None:
         save_compressed_model(model, artifact)
         print(f"deploy artifact: {artifact.stat().st_size} bytes")
 
-        plan = InferencePlan.from_artifact(artifact, cache_size=8)
+        plan = InferencePlan.from_artifact(artifact)
         for kind, label in plan.describe():
             print(f"  {kind:12s} {label}")
 

@@ -815,8 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "decides; REPRO_THREADS pins the pool width)",
             )
             sub.add_argument(
-                "--cache-size", type=int, default=8,
-                help="decoded-kernel LRU capacity for artifact plans",
+                "--cache-size", type=int, default=None,
+                help="decoded-kernel LRU capacity for artifact plans "
+                     "(default: every binary layer, each decoded once)",
             )
         if name == "fleet":
             sub.add_argument(
@@ -867,8 +868,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="per-worker admitted-image bound (default 1024)",
             )
             sub.add_argument(
-                "--cache-size", type=int, default=8,
-                help="decoded-kernel LRU capacity of each worker's plan",
+                "--cache-size", type=int, default=None,
+                help="decoded-kernel LRU capacity of each worker's plan "
+                     "(default: every binary layer, each decoded once)",
             )
             sub.add_argument(
                 "--threads", type=int, default=None,
@@ -950,8 +952,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="thread-pool width for batch execution (default 2)",
             )
             sub.add_argument(
-                "--cache-size", type=int, default=8,
-                help="decoded-kernel LRU capacity of the tenant's plan",
+                "--cache-size", type=int, default=None,
+                help="decoded-kernel LRU capacity of the tenant's plan "
+                     "(default: every binary layer, each decoded once)",
             )
             sub.add_argument(
                 "--threads", type=int, default=None,

@@ -42,6 +42,7 @@ from .bnn.layers import (
     RSign,
 )
 from .bnn.model import Sequential
+from .core.bitseq import sequences_to_kernel
 from .core.clustering import ClusteringConfig
 from .core.codec import SimplifiedTreeCodec
 from .core.pipeline import CompressionPipeline, PipelineConfig
@@ -241,25 +242,31 @@ def save_compressed_model(
     np.savez(path, **arrays)
 
 
+def _kernel_bits(entry: Dict, arrays, key: str) -> np.ndarray:
+    """Decode one binary conv entry to its kernel bit tensor.
+
+    ``compressed3x3`` entries run through the real stream decoder;
+    ``packed_binary`` entries are unpacked from their bit container.
+    """
+    storage = entry.get("storage")
+    if storage == "compressed3x3":
+        stream = CompressedKernel.from_bytes(arrays[f"{key}.stream"].tobytes())
+        return sequences_to_kernel(stream.decode(), stream.shape)
+    if storage == "packed_binary":
+        return _unpack_bit_tensor(arrays[f"{key}.bits"], entry["bit_shape"])
+    raise ValueError(
+        f"layer {entry['index']} is not a binary conv entry "
+        f"(storage={storage!r})"
+    )
+
+
 def _rebuild_layer(entry: Dict, arrays, key: str) -> Layer:
     """Instantiate one layer from its manifest entry and stored arrays."""
     layer_type = entry["type"]
     config = entry.get("config", {})
     if layer_type == "BinaryConv2d":
         layer = BinaryConv2d(**config)
-        if entry["storage"] == "compressed3x3":
-            blob = arrays[f"{key}.stream"].tobytes()
-            stream = CompressedKernel.from_bytes(blob)
-            sequences = stream.decode()
-            from .core.bitseq import sequences_to_kernel
-
-            bits = sequences_to_kernel(sequences, stream.shape)
-            layer.set_weight_bits(bits)
-        else:
-            bits = _unpack_bit_tensor(
-                arrays[f"{key}.bits"], entry["bit_shape"]
-            )
-            layer.set_weight_bits(bits)
+        layer.set_weight_bits(_kernel_bits(entry, arrays, key))
         return layer
     if layer_type == "QuantConv2d":
         layer = QuantConv2d(**config)
@@ -392,21 +399,9 @@ class ArtifactReader:
 
         ``compressed3x3`` entries run through the real stream decoder;
         ``packed_binary`` entries are unpacked from their bit container.
+        This is the same decode :meth:`rebuild_layer` installs.
         """
-        storage = entry.get("storage")
-        if storage == "compressed3x3":
-            stream = CompressedKernel.from_bytes(self.stream_blob(entry))
-            from .core.bitseq import sequences_to_kernel
-
-            return sequences_to_kernel(stream.decode(), stream.shape)
-        if storage == "packed_binary":
-            return _unpack_bit_tensor(
-                self.arrays[f"{self.key(entry)}.bits"], entry["bit_shape"]
-            )
-        raise ValueError(
-            f"layer {entry['index']} is not a binary conv entry "
-            f"(storage={storage!r})"
-        )
+        return _kernel_bits(entry, self.arrays, self.key(entry))
 
     def rebuild_layer(self, entry: Dict) -> Layer:
         """Instantiate one layer (streams decoded eagerly)."""

@@ -203,7 +203,7 @@ class _TenantSpec:
 
     artifact: str          # what workers serve (manifest-hash ref if store)
     source: str            # what the caller registered (may be a mutable ref)
-    cache_size: int = 8
+    cache_size: Optional[int] = None
     strategy: str = "gemm"
     threads: Optional[int] = None
 
@@ -440,7 +440,7 @@ class FleetRouter:
         self,
         tenant: str,
         artifact: str,
-        cache_size: int = 8,
+        cache_size: Optional[int] = None,
         strategy: str = "gemm",
         threads: Optional[int] = None,
     ) -> str:

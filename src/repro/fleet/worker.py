@@ -172,7 +172,7 @@ async def _run(conn, name: str, config: ServeConfig) -> None:
                 daemon.register(
                     message["tenant"],
                     message["artifact"],
-                    cache_size=message.get("cache_size", 8),
+                    cache_size=message.get("cache_size"),
                     strategy=message.get("strategy", "gemm"),
                     threads=message.get("threads"),
                 )

@@ -2,10 +2,11 @@
 
 An artifact-backed :class:`~repro.infer.plan.InferencePlan` decodes each
 layer's compressed stream only when the layer actually executes, and
-keeps the resulting channel-packed words in a small LRU cache.  This
-mirrors the hardware story: the decoding unit's scratchpad holds a
-bounded working set of decoded kernels, and rarely-used layers are
-re-decoded rather than pinned in memory.
+keeps the resulting channel-packed words in an LRU cache.  By default
+the plan sizes the cache to its binary-conv count, so every layer
+decodes once and steady traffic only hits; an explicit capacity below
+that bounds the decoded working set, as the decoding unit's scratchpad
+does in hardware, and evicted layers are re-decoded on their next use.
 
 The cache is thread-safe and is tier 1 of the store's two-tier caching:
 the serving daemon (:mod:`repro.serve`) executes batches on a thread

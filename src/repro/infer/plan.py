@@ -395,7 +395,7 @@ class InferencePlan:
     def from_artifact(
         cls,
         path,
-        cache_size: int = 8,
+        cache_size: Optional[int] = None,
         out_channel_chunk: int = 64,
         strategy: str = "gemm",
         threads: Optional[int] = None,
@@ -410,18 +410,27 @@ class InferencePlan:
 
         Binary conv entries become packed steps whose kernel operands
         are decoded from the stored streams *on demand* and kept in an
-        LRU cache of ``cache_size`` layers (the gemm strategy's sign
-        matrix rides in the same cache entry, so eviction bounds both
-        representations; per-key build locks let concurrent workers
-        decode different layers in parallel); the float glue is rebuilt
+        LRU cache (the gemm strategy's sign matrix rides in the same
+        cache entry, so eviction bounds both representations; per-key
+        build locks let concurrent workers decode different layers in
+        parallel).  ``cache_size=None`` sizes the cache to the plan's
+        binary-conv count, so each layer decodes exactly once — for the
+        registered ``reactnet`` model that holds ~113 MB of float32 sign
+        matrices plus ~3.5 MB of packed words; an explicit
+        ``cache_size=N`` bounds that memory and re-decodes evicted
+        layers on their next use.  The float glue is rebuilt
         through :class:`~repro.deploy.ArtifactReader` exactly as
         :func:`~repro.deploy.load_compressed_model` would, so the plan's
         logits match the reloaded model's reference forward bit for bit.
         """
         reader = path if isinstance(path, ArtifactReader) else ArtifactReader(path)
+        entries = reader.entries
+        if cache_size is None:
+            cache_size = max(
+                1, sum(entry["type"] == "BinaryConv2d" for entry in entries)
+            )
         cache = LruCache(maxsize=cache_size)
         steps: List[PlanStep] = []
-        entries = reader.entries
         index = 0
         while index < len(entries):
             entry = entries[index]

@@ -166,7 +166,7 @@ class ServingDaemon:
         self,
         name: str,
         artifact: str,
-        cache_size: int = 8,
+        cache_size: Optional[int] = None,
         strategy: str = "gemm",
         threads: Optional[int] = None,
     ) -> Tenant:

@@ -78,7 +78,7 @@ class Tenant:
         self,
         name: str,
         artifact: str,
-        cache_size: int = 8,
+        cache_size: Optional[int] = None,
         strategy: str = "gemm",
         threads: Optional[int] = None,
     ) -> None:
@@ -201,7 +201,7 @@ class TenantRegistry:
         self,
         name: str,
         artifact: str,
-        cache_size: int = 8,
+        cache_size: Optional[int] = None,
         strategy: str = "gemm",
         threads: Optional[int] = None,
     ) -> Tenant:

@@ -221,6 +221,36 @@ class TestFleetServing:
         assert status["counters"]["dispatched"] == 4
         assert status["counters"]["worker_deaths"] == 0
 
+    def test_default_cache_decodes_each_layer_once(self, tmp_path):
+        """A default-registered tenant holds every binary layer: a model
+        with more binary convs than the old 8-entry default serves
+        bit-exact with one decode per layer and no evictions."""
+        path = tmp_path / "deep.npz"
+        model = build_small_bnn(
+            in_channels=1, num_classes=4, image_size=IMAGE_SIZE,
+            channels=(8,) * 5, seed=5,
+        )
+        model.eval()
+        save_compressed_model(model, path)
+        layers = len(model.binary_conv_layers())
+        images = _images(48)
+        with FleetRouter(_config(workers=1)) as fleet:
+            fleet.register("prod", str(path))
+            blocks = [
+                fleet.submit("prod", images[index:index + 16])
+                for index in range(0, 48, 16)
+            ]
+            status = fleet.status()
+        assert np.array_equal(
+            np.concatenate(blocks), _oracle(path, images, batch=16)
+        )
+        tenant = status["workers"]["w0"]["snapshot"]["registry"]["prod"]
+        assert tenant["cache_size"] is None
+        cache = tenant["kernel_cache"]
+        assert layers > 8
+        assert cache["maxsize"] == cache["misses"] == layers
+        assert cache["evictions"] == 0
+
     def test_unknown_tenant_and_bad_shapes_rejected(self, tmp_path):
         artifact = _save_artifact(tmp_path, seed=3)
         with FleetRouter(_config(workers=1)) as fleet:

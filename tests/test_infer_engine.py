@@ -580,6 +580,28 @@ class TestArtifactPlan:
         assert plan.cache_stats()["misses"] == stats["misses"]
         assert plan.cache_stats()["hits"] > 0
 
+    def test_default_cache_holds_every_binary_layer(self, tmp_path):
+        # more binary convs than the old fixed 8-entry default: each
+        # layer decodes once, steady minibatches only hit
+        from repro.deploy import load_compressed_model
+
+        model = build_small_bnn(channels=(8,) * 5, seed=3)
+        model.eval()
+        path = tmp_path / "deep.npz"
+        save_compressed_model(model, path)
+        plan = InferencePlan.from_artifact(path)
+        assert plan.num_packed_steps == 10
+        deployed = load_compressed_model(path)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            x = rng.standard_normal((4, 1, 16, 16)).astype(np.float32)
+            assert np.array_equal(plan.run_batch(x), deployed.forward(x))
+        stats = plan.cache_stats()
+        assert stats["maxsize"] == plan.num_packed_steps
+        assert stats["misses"] == plan.num_packed_steps
+        assert stats["evictions"] == 0
+        assert stats["hits"] == 2 * plan.num_packed_steps
+
     def test_capacity_one_cache_still_exact(self, artifact, images):
         from repro.deploy import load_compressed_model
 

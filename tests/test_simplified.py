@@ -214,3 +214,92 @@ def test_roundtrip_any_layout_property(sequences, capacities):
     tree = SimplifiedTree(table_of(arr), capacities)
     payload, bits = tree.encode(arr)
     assert np.array_equal(tree.decode(payload, arr.size, bits), arr)
+
+
+def _numpy_loop_decode(tree, payload, count, bit_length):
+    """The numpy-indexed per-symbol loop that ``decode`` replaced.
+
+    Kept as the reference for ``decode``'s error contract: which
+    exception a truncated stream or an invalid code raises, and with
+    which message.
+    """
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    if bit_length > len(payload) * 8:
+        raise ValueError(
+            f"bit_length {bit_length} exceeds payload of "
+            f"{len(payload) * 8} bits"
+        )
+    symbols, lengths = tree._decode_lut()
+    max_length = tree._max_length
+    data = payload + b"\x00\x00"
+    window_mask = (1 << max_length) - 1
+    out = np.empty(count, dtype=np.int64)
+    position = 0
+    for index in range(count):
+        if position >= bit_length:
+            raise EOFError(
+                f"stream exhausted after {index} of {count} sequences"
+            )
+        byte_index = position >> 3
+        chunk = int.from_bytes(data[byte_index:byte_index + 3], "big")
+        window = (chunk >> (24 - max_length - (position & 7))) & window_mask
+        sequence = symbols[window]
+        if sequence < 0:
+            raise ValueError(f"invalid code at bit {position}")
+        out[index] = sequence
+        position += int(lengths[window])
+    if position > bit_length:
+        raise EOFError("final code ran past the declared bit length")
+    return out
+
+
+def _outcome(decode, *args):
+    try:
+        return "ok", decode(*args).tolist()
+    except (EOFError, ValueError) as error:
+        return type(error), str(error)
+
+
+#: custom layouts: 2-6 nodes, the last one wide enough to cover all
+#: sequences (codes stay within the decoder's 17-bit window)
+_capacities = st.lists(st.integers(1, 200), min_size=1, max_size=4).flatmap(
+    lambda head: st.integers(0, 64).map(
+        lambda extra: tuple(head)
+        + (max(1, NUM_SEQUENCES - sum(head)) + extra,)
+    )
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    sequences=st.lists(
+        st.integers(0, NUM_SEQUENCES - 1), min_size=1, max_size=200
+    ),
+    capacities=st.one_of(st.just(DEFAULT_CAPACITIES), _capacities),
+    cut=st.integers(0, 1 << 12),
+    garbage=st.binary(min_size=1, max_size=40),
+)
+def test_decode_matches_tree_walk_oracle_property(
+    sequences, capacities, cut, garbage
+):
+    """``decode`` equals the ``decode_steps`` tree walk on valid streams
+    and keeps the numpy loop's errors on truncated or invalid ones."""
+    arr = np.asarray(sequences)
+    tree = SimplifiedTree(table_of(arr[: max(1, arr.size // 2)]), capacities)
+    payload, bits = tree.encode(arr)
+    decoded = tree.decode(payload, arr.size, bits)
+    walked = [s for s, _, _ in tree.decode_steps(payload, arr.size, bits)]
+    assert decoded.dtype == np.int64
+    assert decoded.tolist() == walked == arr.tolist()
+
+    cases = [
+        (payload, arr.size, cut % bits),            # truncated bit length
+        (payload[: (cut % bits) // 8], arr.size, bits),  # truncated bytes
+        (payload, arr.size + 1, bits),               # one code too many
+        (garbage, cut % 64, len(garbage) * 8),       # possibly invalid codes
+    ]
+    for case in cases:
+        assert _outcome(tree.decode, *case) == _outcome(
+            lambda *a: _numpy_loop_decode(tree, *a), *case
+        )
