@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .packing import WORD_BITS, pack_bits, packed_dot, packed_words, unpack_bits
+from .packing import WORD_BITS, pack_bits, packed_words, unpack_bits
 
 __all__ = [
     "ContractionTelemetry",
@@ -433,6 +433,12 @@ def pack_input_patches(
 # ----------------------------------------------------------------------
 # Tiled contraction
 # ----------------------------------------------------------------------
+#: bound on the popcount strategy's xor intermediate of one row block
+#: (``words x chunk x block`` uint64 words, 1 MiB): each block is xored,
+#: popcounted and summed while it is still cache-resident
+_XOR_BLOCK_WORDS = 1 << 17
+
+
 def contract_packed_patches(
     patch_words: np.ndarray,
     w_words: Optional[np.ndarray],
@@ -453,8 +459,11 @@ def contract_packed_patches(
     every strategy, thread count and tiling, because every partial sum
     is a small exact integer.
 
-    ``popcount`` tiles over ``batch x out_channel`` (the xor
-    intermediate of a tile is bounded by ``out_channel_chunk``);
+    ``popcount`` tiles over ``batch x out_channel`` (a tile spans
+    ``out_channel_chunk`` output channels) and walks each tile's rows
+    in blocks whose xor intermediate holds at most
+    :data:`_XOR_BLOCK_WORDS` words; the blocks live inside a tile, so
+    they change neither the tile count nor the thread fan-out.
     ``gemm`` tiles over batch only — each tile unpacks its patch words
     to the {+1, -1} plane once and contracts it with BLAS against
     ``kernel_signs`` (built per weight version by the caller), so both
@@ -482,7 +491,9 @@ def contract_packed_patches(
     work: List[Callable[[], None]] = []
 
     if strategy == "gemm":
-        weights_t = np.ascontiguousarray(kernel_signs.T)
+        # a view, not a copy: F-ordered signs (``KernelEntry.signs``)
+        # make it C-contiguous, the BLAS non-transposed operand
+        weights_t = kernel_signs.T
         # BLAS needs a float destination; contract into a scratch and
         # round-trip to int32 exactly (every value is a small integer)
         scratch = np.empty((rows, out_ch), dtype=np.float32)
@@ -503,16 +514,24 @@ def contract_packed_patches(
         _run_tiles(work, threads)
         np.copyto(out, scratch, casting="unsafe")
     elif strategy == "popcount":
-        expanded = flat[:, None, :]  # (rows, 1, words)
+        # word-major operands put the long row axis innermost, so each
+        # xor/popcount pass runs over contiguous rows, and the word sum
+        # becomes an add of whole (chunk, block) planes
+        patches_t = np.ascontiguousarray(flat.T)[:, None, :]
+        chunk_words = min(out_channel_chunk, out_ch) * flat.shape[1]
+        block = max(1, _XOR_BLOCK_WORDS // max(1, chunk_words))
 
         def popcount_tile(
             row_start: int, row_stop: int, ch_start: int, ch_stop: int
         ) -> None:
-            out[row_start:row_stop, ch_start:ch_stop] = packed_dot(
-                w_words[ch_start:ch_stop],
-                expanded[row_start:row_stop],
-                num_bits,
-            )
+            weights_t = w_words[ch_start:ch_stop].T[:, :, None]
+            for start in range(row_start, row_stop, block):
+                stop = min(start + block, row_stop)
+                xor = weights_t ^ patches_t[..., start:stop]
+                mismatches = np.bitwise_count(xor).sum(axis=0, dtype=np.int32)
+                out[start:stop, ch_start:ch_stop] = (
+                    num_bits - 2 * mismatches.T
+                )
 
         for row_start, row_stop in row_spans:
             for ch_start in range(0, out_ch, out_channel_chunk):

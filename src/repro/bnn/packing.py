@@ -41,16 +41,6 @@ _BYTE_POPCOUNT = np.array(
     [bin(value).count("1") for value in range(256)], dtype=np.uint8
 )
 
-# SWAR (SIMD-within-a-register) popcount constants for 64-bit words.
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-_S1 = np.uint64(1)
-_S2 = np.uint64(2)
-_S4 = np.uint64(4)
-_S56 = np.uint64(56)
-
 
 def packed_words(num_bits: int) -> int:
     """Number of 64-bit words needed to hold ``num_bits``."""
@@ -89,23 +79,18 @@ def unpack_bits(words: np.ndarray, num_bits: int) -> np.ndarray:
 def popcount64(words: np.ndarray) -> np.ndarray:
     """Summed popcount along the last (word) axis.
 
-    Models the NEON ``cnt``+``addv`` reduction used by daBNN kernels.
-    Implemented as the classic SWAR bit-sliced reduction (5 vectorised
-    integer ops per word) rather than a per-byte table gather, which
-    keeps the packed inference hot path free of fancy-indexing traffic;
-    :func:`_popcount64_bytes` retains the table formulation as the
-    equivalence oracle for tests.
+    Models the NEON ``cnt``+``addv`` reduction used by daBNN kernels:
+    ``np.bitwise_count`` is numpy's native per-word popcount (the
+    hardware ``popcnt`` instruction where the CPU has one), summed into
+    ``int64``.  :func:`_popcount64_bytes` retains the byte-table
+    formulation as the equivalence oracle for tests.
     """
     words = np.asarray(words, dtype=np.uint64)
-    counts = words - ((words >> _S1) & _M1)
-    counts = (counts & _M2) + ((counts >> _S2) & _M2)
-    counts = (counts + (counts >> _S4)) & _M4
-    per_word = (counts * _H01) >> _S56
-    return per_word.sum(axis=-1).astype(np.int64)
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def _popcount64_bytes(words: np.ndarray) -> np.ndarray:
-    """Reference byte-table popcount (the pre-SWAR formulation)."""
+    """Reference byte-table popcount, the oracle for :func:`popcount64`."""
     words = np.asarray(words, dtype=np.uint64)
     as_bytes = words.view(np.uint8).reshape(words.shape + (8,))
     return _BYTE_POPCOUNT[as_bytes].sum(axis=(-1, -2)).astype(np.int64)
@@ -119,7 +104,11 @@ def packed_dot(
     Computes ``sum_i w_i * x_i`` with ``w, x`` in {+1, -1} via
     ``num_bits - 2 * popcount(xor)``.  Pad bits (both zero) xor to zero and
     therefore drop out of the popcount, so only ``num_bits`` matters.
-    Operands broadcast against each other on leading axes.
+    Operands broadcast against each other on leading axes, and the xor
+    intermediate has the full broadcast shape: callers bound it by
+    slicing the operands, as the popcount strategy of
+    :func:`~repro.bnn.contraction.contract_packed_patches` does with its
+    cache-sized row blocks.
     """
     w_words = np.asarray(w_words, dtype=np.uint64)
     x_words = np.asarray(x_words, dtype=np.uint64)

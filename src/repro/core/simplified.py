@@ -42,6 +42,10 @@ __all__ = [
 #: is widened to 512 so every sequence is representable (see module doc).
 DEFAULT_CAPACITIES: Tuple[int, ...] = (32, 64, 64, 512)
 
+#: longest code :meth:`SimplifiedTree.decode`'s window loop can read: a
+#: 3-byte chunk less the up-to-7-bit offset of a code inside its byte
+_CHUNK_WINDOW_BITS = 24 - 7
+
 
 def _unary_prefixes(num_nodes: int) -> List[Tuple[int, int]]:
     """Prefix (value, length) per node: 0, 10, 110, ..., 1..10, 1..1.
@@ -312,7 +316,9 @@ class SimplifiedTree:
         ReActNet stream (2-core x86 host) this loop took 0.22 s with a
         13 MB transient, :meth:`decode_batch`'s binary lifting 0.60 s
         with 376 MB, and the :mod:`repro.hw.rtl_fast` wavefront 0.27 s
-        with 201 MB.
+        with 201 MB.  Layouts whose longest code exceeds
+        :data:`_CHUNK_WINDOW_BITS` do not fit the 3-byte window and take
+        the :meth:`decode_steps` tree walk instead.
         """
         if count == 0:
             return np.empty(0, dtype=np.int64)
@@ -321,8 +327,10 @@ class SimplifiedTree:
                 f"bit_length {bit_length} exceeds payload of "
                 f"{len(payload) * 8} bits"
             )
-        symbols, lengths = (table.tolist() for table in self._decode_lut())
         max_length = self._max_length
+        if max_length > _CHUNK_WINDOW_BITS:
+            return self._decode_walk(payload, count, bit_length)
+        symbols, lengths = (table.tolist() for table in self._decode_lut())
         # big-endian 3-byte chunk at every byte offset, built in place;
         # the padding keeps the final window read inside the payload
         data = np.frombuffer(payload + b"\x00\x00", dtype=np.uint8)
@@ -381,25 +389,26 @@ class SimplifiedTree:
         )
 
         if self._max_length > MAX_WINDOW_BITS:
-            # the per-symbol tree walk avoids the 2**max_length LUT
-            def decode_item(payload, count, bit_length):
-                return np.fromiter(
-                    (
-                        sequence
-                        for sequence, _, _ in self.decode_steps(
-                            payload, count, bit_length
-                        )
-                    ),
-                    dtype=np.int64,
-                    count=count,
-                )
-
             return scalar_decode_batch(
-                decode_item, words, counts, bit_offsets
+                self._decode_walk, words, counts, bit_offsets
             )
         symbols, lengths = self._decode_lut()
         return decode_prefix_batch(
             words, counts, bit_offsets, symbols, lengths, self._max_length
+        )
+
+    def _decode_walk(
+        self, payload: bytes, count: int, bit_length: int
+    ) -> np.ndarray:
+        """:meth:`decode_steps` collected into an array.
+
+        The per-symbol tree walk needs no ``2**max_length`` LUT and no
+        bound on the code length, so it decodes the layouts the windowed
+        decoders cannot.
+        """
+        steps = self.decode_steps(payload, count, bit_length)
+        return np.fromiter(
+            (sequence for sequence, _, _ in steps), dtype=np.int64, count=count
         )
 
     def _read_node(self, reader: BitReader) -> int:

@@ -17,9 +17,9 @@ channel-packed kernel words  prepacked ``(words, num_bits)`` operands,
 sign activation feeding the  fused threshold in
 binary conv (Fig. 1 RSign)   :class:`~repro.infer.plan.PackedConvStep`:
                              floats go straight to {0, 1} bits
-xnor+popcount inner loop     :func:`~repro.bnn.packing.packed_dot`
+xnor+popcount inner loop     ``contract_packed_patches`` (popcount)
 (Eq. 2 / Sec. IV-B)          over bit-domain im2col patches, tiled by
-                             output channel
+                             output channel, in cache-sized row blocks
 decoding unit scratchpad     :class:`~repro.infer.cache.LruCache` of
 holding decoded kernels      on-demand-decoded, prepacked kernels in
 (Fig. 6 / Sec. IV-C)         artifact-backed plans

@@ -67,10 +67,14 @@ class KernelEntry:
     ``(words, num_bits)`` pair the popcount strategy consumes; ``signs``
     lazily unpacks it into the {+1, -1} float32 matrix the gemm
     strategy contracts with (once per entry — the same hoist
-    ``prepare()`` gives the packed words).  Because the sign matrix
-    lives *on* the entry, whatever owns the entry bounds it too: an
-    artifact plan's LRU eviction drops both representations together,
-    and a model plan's per-layer memo ties both to the weight version.
+    ``prepare()`` gives the packed words).  The matrix has shape
+    ``(out, bits)`` but is stored F-ordered, so the ``(bits, out)``
+    transpose the gemm multiplies by is a C-contiguous view: BLAS takes
+    its non-transposed path and no call copies the matrix.  Because the
+    sign matrix lives *on* the entry, whatever owns the entry bounds it
+    too: an artifact plan's LRU eviction drops both representations
+    together, and a model plan's per-layer memo ties both to the weight
+    version.
     """
 
     __slots__ = ("operand", "_signs", "__weakref__")
@@ -83,7 +87,8 @@ class KernelEntry:
         """The position-major {+1, -1} weight matrix, built on first use."""
         if self._signs is None:
             words, num_bits = self.operand
-            self._signs = bit_signs(unpack_bits(words, num_bits))
+            signs = bit_signs(unpack_bits(words, num_bits))
+            self._signs = np.ascontiguousarray(signs.T).T
         return self._signs
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bnn.binarize import binarize_bits
 from repro.bnn.contraction import (
+    _XOR_BLOCK_WORDS,
     ContractionTelemetry,
     default_threads,
     pack_input_patches,
@@ -107,6 +108,42 @@ def test_dense_threaded_matches_serial_and_reference(
             out_channel_chunk=chunk,
         )
         assert np.array_equal(result.astype(np.float32), reference), strategy
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "in_ch, size, block", [(256, 8, 56), (512, 4, 28)]
+)
+def test_popcount_row_blocks_match_gemm_and_reference(
+    threads, in_ch, size, block
+):
+    """Row blocks that do not divide the rows stay exact and add no tiles.
+
+    At 3x3, 256 channels are 36 words, so a 64-channel chunk walks its
+    rows in blocks of ``_XOR_BLOCK_WORDS // (64 * 36) = 56``; 512
+    channels are 72 words, in blocks of 28.  Neither block size divides
+    the 2 x size x size rows.
+    """
+    x_bits, k_bits = _conv_case(3, batch=2, in_ch=in_ch, out_ch=70, size=size)
+    reference = binary_conv2d_reference(
+        x_bits * 2.0 - 1.0, k_bits * 2.0 - 1.0, stride=1, padding=1
+    )
+    words = in_ch * 9 // 64
+    assert _XOR_BLOCK_WORDS // (64 * words) == block
+    rows = 2 * size * size
+    assert rows % block
+    telemetry = ContractionTelemetry()
+    popcount = binary_conv2d_packed(
+        x_bits, k_bits, strategy="popcount", threads=threads,
+        telemetry=telemetry,
+    )
+    gemm = binary_conv2d_packed(
+        x_bits, k_bits, strategy="gemm", threads=threads
+    )
+    assert np.array_equal(popcount, gemm)
+    assert np.array_equal(popcount.astype(np.float32), reference)
+    unblocked_tiles = len(tile_spans(rows, threads)) * 2  # chunks 64 + 6
+    assert telemetry.snapshot()["popcount"]["tiles"] == unblocked_tiles
 
 
 def test_explicit_threads_on_base_strategy_matches_serial():

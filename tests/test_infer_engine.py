@@ -29,7 +29,7 @@ from repro.bnn.packing import (
 )
 from repro.bnn.reactnet import build_small_bnn
 from repro.deploy import save_compressed_model
-from repro.infer import InferencePlan, LruCache
+from repro.infer import InferencePlan, KernelEntry, LruCache
 from repro.sim import Scenario, Simulator
 
 
@@ -64,12 +64,26 @@ def chunked_reference(model, x, batch_size):
 # Packing / ops substrate
 # ----------------------------------------------------------------------
 class TestPackedOps:
-    def test_swar_popcount_matches_byte_table(self):
-        rng = np.random.default_rng(0)
-        words = rng.integers(0, 2**63, (17, 5), dtype=np.uint64)
-        words[0, 0] = 0
-        words[1, 1] = np.uint64(2**64 - 1)
-        assert np.array_equal(popcount64(words), _popcount64_bytes(words))
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rows=st.integers(0, 9),
+        words=st.integers(0, 6),
+        fill=st.sampled_from(["random", "zeros", "ones"]),
+    )
+    def test_popcount_matches_byte_table(self, seed, rows, words, fill):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(
+            0, 2**64, (rows, words), dtype=np.uint64, endpoint=False
+        )
+        if fill == "zeros":
+            values[:] = 0
+        elif fill == "ones" and rows:
+            values[0] = np.uint64(2**64 - 1)  # an all-ones row
+        counts = popcount64(values)
+        assert counts.dtype == np.int64
+        assert counts.shape == (rows,)
+        assert np.array_equal(counts, _popcount64_bytes(values))
 
     @pytest.mark.parametrize("strategy", CONTRACTION_STRATEGIES)
     def test_conv_prepacked_operand_matches_bit_tensor(self, strategy):
@@ -436,6 +450,18 @@ class TestModelPlan:
         plan = InferencePlan.from_model(serving_model, strategy=strategy)
         expected = chunked_reference(serving_model, images, images.shape[0])
         assert np.array_equal(plan.run_batch(images), expected)
+
+    def test_kernel_signs_transpose_is_c_contiguous(self):
+        """The gemm multiplies by ``signs().T``; F-order makes it a
+        C-contiguous view, so no call copies the matrix."""
+        rng = np.random.default_rng(4)
+        kernel = rng.integers(0, 2, (8, 16, 3, 3)).astype(np.uint8)
+        words, num_bits = pack_kernel_channels(kernel)
+        signs = KernelEntry((words, num_bits)).signs()
+        assert signs.shape == (8, num_bits)
+        assert signs.T.flags.c_contiguous
+        flat = kernel.transpose(0, 2, 3, 1).reshape(8, -1)
+        assert np.array_equal(signs, flat * 2.0 - 1.0)
 
     def test_fuses_every_binary_conv(self, serving_model):
         plan = InferencePlan.from_model(serving_model)

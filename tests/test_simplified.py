@@ -133,6 +133,21 @@ class TestCoding:
         stepped = [s for s, _, _ in tree.decode_steps(payload, 6, bits)]
         assert stepped == list(sequences)
 
+    def test_decode_codes_longer_than_the_chunk_window(self):
+        """18-bit codes do not fit the 3-byte window; decode walks the tree."""
+        capacities = (1,) * 9 + (512,)
+        rng = np.random.default_rng(5)
+        sequences = rng.integers(0, NUM_SEQUENCES, 2000)
+        tree = SimplifiedTree(table_of(sequences), capacities)
+        assert max(tree.layout.code_lengths) == 18
+        payload, bits = tree.encode(sequences)
+        decoded = tree.decode(payload, sequences.size, bits)
+        walked = [
+            s for s, _, _ in tree.decode_steps(payload, sequences.size, bits)
+        ]
+        assert decoded.dtype == np.int64
+        assert decoded.tolist() == walked == sequences.tolist()
+
     def test_decode_steps_report_correct_lengths(self):
         sequences = np.array([4] * 50)
         tree = SimplifiedTree(table_of(sequences))
