@@ -12,8 +12,9 @@ import numpy as np
 
 from repro.core import (
     ClusteringConfig,
+    CompressionPipeline,
     FrequencyTable,
-    KernelCompressor,
+    PipelineConfig,
     kernel_to_sequences,
 )
 from repro.synth import generate_reactnet_kernels
@@ -36,26 +37,29 @@ def main() -> None:
     print(f"entropy: {table.entropy_bits():.2f} bits/sequence (raw: 9)")
 
     # --- Sec. III-B: encoding only
-    plain = KernelCompressor()
+    plain = CompressionPipeline(PipelineConfig())  # the simplified tree
     encoded = plain.compress_block([kernel])
     print(f"\nencoding-only compression ratio: "
           f"{encoded.compression_ratio:.2f}x")
-    print(f"code lengths per tree node: {encoded.tree.layout.code_lengths}")
+    print(f"code lengths per tree node: "
+          f"{encoded.codec.tree.layout.code_lengths}")
 
     # --- Sec. III-C: clustering then encoding
-    clustered = KernelCompressor(
+    clustered = CompressionPipeline(PipelineConfig(
         clustering=ClusteringConfig(num_common=64, num_rare=256)
-    )
+    ))
     result = clustered.compress_block([kernel])
     print(f"with clustering: {result.compression_ratio:.2f}x "
           f"({result.clustering.num_replaced} rare sequences replaced)")
 
-    # --- roundtrip: decompression returns the (clustered) kernel exactly
-    decoded = result.decode_kernels()[0]
+    # --- roundtrip: the hardware stream decodes to the (clustered)
+    # kernel exactly
+    (payload, bit_length), = result.payloads
+    stream = result.codec.to_stream(kernel.shape[:2], payload, bit_length)
     expected = result.clustering.apply_to_sequences(
         kernel_to_sequences(kernel)
     )
-    assert np.array_equal(kernel_to_sequences(decoded), expected)
+    assert np.array_equal(stream.decode(), expected)
     print("\nroundtrip verified: decoded kernel matches bit-for-bit")
 
 

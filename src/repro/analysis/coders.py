@@ -31,17 +31,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.bitseq import BITS_PER_SEQUENCE
-from ..core.codec import available_codecs, elias_gamma_length, get_codec
+from ..core.codec import available_codecs, get_codec
 from ..core.frequency import FrequencyTable
 from ..core.simplified import DEFAULT_CAPACITIES
 from ..synth.weights import generate_reactnet_kernels
 from .report import format_ratio, render_table
 
 __all__ = ["CoderComparison", "compare_coders", "render_coders"]
-
-# back-compat alias; the implementation moved into the codec module
-_elias_gamma_length = elias_gamma_length
-
 
 @dataclass(frozen=True)
 class CoderComparison:

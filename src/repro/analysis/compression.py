@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.clustering import ClusteringConfig
-from ..core.compressor import KernelCompressor
 from ..core.pipeline import CompressionPipeline, PipelineConfig
 from ..core.simplified import DEFAULT_CAPACITIES
 from ..synth.weights import generate_reactnet_kernels
@@ -268,8 +267,8 @@ def measure_codelength_mix(
 ) -> CodeLengthMix:
     """Average node-share mix across blocks, before and after clustering."""
     kernels = kernels or generate_reactnet_kernels(seed=seed)
-    plain = KernelCompressor(clustering=None)
-    clustered = KernelCompressor(clustering=clustering)
+    plain = CompressionPipeline(PipelineConfig())
+    clustered = CompressionPipeline(PipelineConfig(clustering=clustering))
     before_acc = None
     after_acc = None
     count = 0
@@ -277,9 +276,9 @@ def measure_codelength_mix(
     for block in sorted(kernels):
         enc = plain.compress_block([kernels[block]])
         clu = clustered.compress_block([kernels[block]])
-        before = np.asarray(enc.tree.node_shares())
-        after = np.asarray(clu.tree.node_shares())
-        lengths = enc.tree.layout.code_lengths
+        before = np.asarray(enc.codec.tree.node_shares())
+        after = np.asarray(clu.codec.tree.node_shares())
+        lengths = enc.codec.tree.layout.code_lengths
         before_acc = before if before_acc is None else before_acc + before
         after_acc = after if after_acc is None else after_acc + after
         count += 1

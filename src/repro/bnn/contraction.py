@@ -1,4 +1,4 @@
-"""Multi-threaded tiled contraction engine for the packed bit-plane kernels.
+"""Tiled contraction engine for the packed bit-plane kernels, on a thread pool.
 
 The packed binary kernels (:func:`repro.bnn.ops.binary_conv2d_packed`,
 :func:`~repro.bnn.ops.binary_dense_packed`) evaluate Eq. 2 as exact
@@ -60,9 +60,6 @@ __all__ = [
 #: reproducibility pin: ``REPRO_THREADS=1`` forces every tile serial)
 THREADS_ENV = "REPRO_THREADS"
 
-#: suffix marking a threaded strategy alias ("gemm-threaded", ...)
-_THREADED_SUFFIX = "-threaded"
-
 #: do not spawn more pool threads than this even on very wide hosts;
 #: the kernels are memory-bandwidth bound well before 16 tiles overlap
 _MAX_POOL_THREADS = 16
@@ -94,12 +91,12 @@ def resolve_strategy(
 ) -> Tuple[str, int]:
     """Validate ``strategy`` and resolve the effective thread count.
 
-    Returns ``(base_strategy, threads)``.  A ``*-threaded`` alias forces
-    the pool with the automatic width unless ``threads`` pins one;
-    a base strategy stays serial unless ``threads`` asks otherwise
-    (``None``/``0``/``1`` all mean serial there).  Validation happens
-    here — before any operand conversion work — so a bad strategy
-    string fails fast and cheap.
+    Returns ``(strategy, threads)``.  ``threads`` is the only fan-out
+    setting: a positive value tiles the contraction over the shared
+    pool, and ``None``/``0``/``1`` all mean serial (pass
+    :func:`default_threads` for the pool's automatic width).
+    Validation happens here — before any operand conversion work — so
+    a bad strategy string fails fast and cheap.
     """
     if strategy not in strategies:
         raise ValueError(
@@ -107,18 +104,7 @@ def resolve_strategy(
         )
     if threads is not None and threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
-    base = strategy
-    forced = False
-    if strategy.endswith(_THREADED_SUFFIX):
-        base = strategy[: -len(_THREADED_SUFFIX)]
-        forced = True
-    if threads:  # an explicit positive width always wins
-        effective = int(threads)
-    elif forced:
-        effective = default_threads()
-    else:
-        effective = 1
-    return base, max(1, effective)
+    return strategy, max(1, int(threads or 1))
 
 
 # ----------------------------------------------------------------------
@@ -543,7 +529,7 @@ def contract_packed_patches(
                 tiles += 1
         _run_tiles(work, threads)
     else:  # pragma: no cover - resolve_strategy guards the public paths
-        raise ValueError(f"unknown base strategy {strategy!r}")
+        raise ValueError(f"unknown strategy {strategy!r}")
 
     if telemetry is not None:
         telemetry.record(

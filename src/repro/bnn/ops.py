@@ -52,17 +52,12 @@ PackedOperand = Tuple[np.ndarray, int]
 #: ``gemm`` evaluates the *same* Eq. 2 dot product as a BLAS contraction
 #: over {+1, -1} bit planes.  Every intermediate of both strategies is a
 #: small exact integer, so their outputs are bit-identical — ``gemm`` is
-#: simply how a CPU without a vector popcount serves fastest.  The
-#: ``*-threaded`` aliases run the same contraction tiled over the shared
-#: worker pool (``batch x out_channel`` tiles, see
-#: :mod:`repro.bnn.contraction`); tiling cannot change the integers, so
-#: every strategy/thread combination stays bit-identical.
-CONTRACTION_STRATEGIES = (
-    "popcount",
-    "gemm",
-    "popcount-threaded",
-    "gemm-threaded",
-)
+#: simply how a CPU without a vector popcount serves fastest.  The ops'
+#: ``threads=`` setting tiles either one over the shared worker pool
+#: (``batch x out_channel`` tiles, see :mod:`repro.bnn.contraction`);
+#: tiling cannot change the integers, so every strategy/thread
+#: combination stays bit-identical.
+CONTRACTION_STRATEGIES = ("popcount", "gemm")
 
 
 def bit_signs(bits: np.ndarray) -> np.ndarray:
@@ -219,12 +214,12 @@ def binary_conv2d_packed(
     :data:`CONTRACTION_STRATEGIES`): ``popcount`` is the xnor+popcount
     word loop the hardware model mirrors; ``gemm`` computes the same
     exact integers through a BLAS bit-plane contraction (the fast
-    serving path); the ``*-threaded`` aliases tile the same contraction
-    over the shared worker pool.  ``out_channel_chunk`` bounds the
-    popcount strategy's xor intermediate, mirroring how a real kernel
-    tiles over output channels.  ``threads`` pins the tile fan-out (a
-    positive value threads even a base strategy; ``None`` leaves base
-    strategies serial and sizes ``*-threaded`` automatically).
+    serving path).  ``out_channel_chunk`` bounds the popcount
+    strategy's xor intermediate, mirroring how a real kernel tiles over
+    output channels.  ``threads`` sets the tile fan-out over the shared
+    worker pool (``None``, 0 and 1 run serial; pass
+    :func:`~repro.bnn.contraction.default_threads` for the pool's
+    automatic width).
 
     ``kernel_size`` (prepacked operands only) cross-checks the operand's
     geometry against the input instead of inferring it from the bit
@@ -235,7 +230,7 @@ def binary_conv2d_packed(
     ``telemetry`` collects tile/timing counters per strategy.
     """
     # validate knobs before any operand conversion work
-    base_strategy, threads = resolve_strategy(
+    strategy, threads = resolve_strategy(
         strategy, threads, CONTRACTION_STRATEGIES
     )
     if out_channel_chunk <= 0:
@@ -265,7 +260,7 @@ def binary_conv2d_packed(
     if kernel_num_bits != num_bits:
         raise AssertionError("kernel/patch bit count mismatch")
 
-    if base_strategy == "gemm":
+    if strategy == "gemm":
         if kernel_signs is None:
             if flat_bits is None:
                 flat_bits = unpack_bits(w_words, kernel_num_bits)
@@ -281,7 +276,7 @@ def binary_conv2d_packed(
         patch_words,
         w_words,
         num_bits,
-        base_strategy,
+        strategy,
         threads,
         out_channel_chunk,
         kernel_signs=kernel_signs,
@@ -324,7 +319,7 @@ def binary_dense_packed(
     ``out_channel_chunk`` and ``telemetry`` behave exactly as their
     namesakes in :func:`binary_conv2d_packed`.
     """
-    base_strategy, threads = resolve_strategy(
+    strategy, threads = resolve_strategy(
         strategy, threads, CONTRACTION_STRATEGIES
     )
     if out_channel_chunk <= 0:
@@ -345,7 +340,7 @@ def binary_dense_packed(
         raise ValueError(
             f"feature mismatch: {num_bits} vs {weight_num_bits}"
         )
-    if base_strategy == "gemm":
+    if strategy == "gemm":
         if weight_signs is None:
             if flat_bits is None:
                 flat_bits = unpack_bits(w_words, weight_num_bits)
@@ -362,7 +357,7 @@ def binary_dense_packed(
         x_words,
         w_words,
         num_bits,
-        base_strategy,
+        strategy,
         threads,
         out_channel_chunk,
         kernel_signs=weight_signs,

@@ -90,7 +90,7 @@ def _cmd_coders(args: argparse.Namespace) -> str:
 
 def _cmd_backends(args: argparse.Namespace) -> str:
     from .analysis.report import render_table
-    from .bnn.contraction import default_threads, resolve_strategy
+    from .bnn.contraction import default_threads
     from .bnn.ops import CONTRACTION_STRATEGIES
     from .sim.backends import registered_backends
     from .sim.scenario import available_models, get_model
@@ -104,10 +104,6 @@ def _cmd_backends(args: argparse.Namespace) -> str:
         spec = get_model(name)
         runnable = "yes" if spec.builder is not None else "no"
         model_rows.append((name, runnable, spec.description))
-    strategy_rows = []
-    for name in CONTRACTION_STRATEGIES:
-        base, threads = resolve_strategy(name, None, CONTRACTION_STRATEGIES)
-        strategy_rows.append((name, base, str(threads)))
     return "\n\n".join(
         [
             render_table(
@@ -116,11 +112,11 @@ def _cmd_backends(args: argparse.Namespace) -> str:
                 title="Simulation backends",
             ),
             render_table(
-                ("strategy", "kernel", "threads"),
-                strategy_rows,
+                ("strategy",),
+                [(name,) for name in CONTRACTION_STRATEGIES],
                 title=(
-                    "Contraction strategies "
-                    f"(default pool width {default_threads()})"
+                    "Contraction strategies (serial unless --threads; "
+                    f"default pool width {default_threads()})"
                 ),
             ),
             render_table(
@@ -806,13 +802,12 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--strategy", choices=CONTRACTION_STRATEGIES,
                 default="gemm",
-                help="packed contraction strategy (default gemm; the "
-                     "*-threaded aliases fan tiles across the pool)",
+                help="packed contraction strategy (default gemm)",
             )
             sub.add_argument(
                 "--threads", type=int, default=None,
-                help="contraction-engine thread count (default: strategy "
-                     "decides; REPRO_THREADS pins the pool width)",
+                help="tiles each contraction over this many pool threads "
+                     "(default: serial; REPRO_THREADS pins the pool width)",
             )
             sub.add_argument(
                 "--cache-size", type=int, default=None,

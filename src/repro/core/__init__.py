@@ -21,9 +21,6 @@ Public surface:
 * :mod:`~repro.core.bitseq` — natural mapping of 3x3 channels to 9-bit ids
 * :class:`~repro.core.frequency.FrequencyTable` — per-block histograms
 * :func:`~repro.core.clustering.cluster_sequences` — Hamming-1 replacement
-* :class:`~repro.core.compressor.KernelCompressor` — historical
-  single-block entry point, kept as a thin wrapper over the pipeline
-  pinned to the ``simplified`` codec
 
 Lower-level pieces (:class:`~repro.core.huffman.HuffmanEncoder`,
 :class:`~repro.core.simplified.SimplifiedTree`,
@@ -70,7 +67,6 @@ from .codec import (
     get_codec,
     register_codec,
 )
-from .compressor import BlockCompressionResult, KernelCompressor
 from .frequency import FrequencyTable, merge_tables
 from .huffman import HuffmanCode, HuffmanEncoder, build_huffman_code
 from .pipeline import (
@@ -97,7 +93,6 @@ __all__ = [
     "BitReader",
     "BitWriter",
     "BlockCodecResult",
-    "BlockCompressionResult",
     "ClusteringConfig",
     "ClusteringResult",
     "Codec",
@@ -109,7 +104,6 @@ __all__ = [
     "HuffmanCode",
     "HuffmanCodec",
     "HuffmanEncoder",
-    "KernelCompressor",
     "ModelCompressionResult",
     "NodeAssignment",
     "PipelineConfig",

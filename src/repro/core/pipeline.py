@@ -1,13 +1,15 @@
 """Model-level compression facade over the unified codec registry.
 
-:class:`~repro.core.compressor.KernelCompressor` works one block at a time
-and is hardwired to the simplified tree.  :class:`CompressionPipeline`
-generalises both axes: one :class:`PipelineConfig` names the codec (any
-registry entry), its parameters, the clustering pass and the block
-grouping, and ``compress_model`` runs the paper's offline flow over *all*
-blocks of a model in one call, returning a :class:`ModelCompressionResult`
-that aggregates the per-block results into the whole-model metrics of
-Sec. VI.
+:class:`CompressionPipeline` runs the paper's offline flow (Sec. IV-A:
+histogram -> optional clustering -> codec fit -> encode).  One
+:class:`PipelineConfig` names the codec (any registry entry), its
+parameters, the clustering pass and the block grouping.
+``compress_block`` compresses one block's kernels into a
+:class:`BlockCodecResult` (a tree codec's ``to_stream`` turns its
+payloads into :class:`~repro.core.streams.CompressedKernel` streams);
+``compress_model`` runs the flow over *all* blocks of a model in one
+call, returning a :class:`ModelCompressionResult` that aggregates the
+per-block results into the whole-model metrics of Sec. VI.
 
 Block grouping: the paper fits one tree per basic block
 (``merge_blocks=False``); the global-tree ablation fits a single coder on

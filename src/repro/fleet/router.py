@@ -160,8 +160,6 @@ class FleetConfig:
     availability_floor: float = 0.5
     #: per-worker restart budget before it stays dead
     max_restarts: int = 5
-    #: multiprocessing start method; spawn inherits no locks/loops
-    start_method: str = "spawn"
     #: backoff policy used by :meth:`FleetRouter.submit_retrying` and
     #: the CLI client paths
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -317,7 +315,9 @@ class FleetRouter:
 
     def __init__(self, config: Optional[FleetConfig] = None) -> None:
         self.config = config or FleetConfig()
-        self._context = multiprocessing.get_context(self.config.start_method)
+        # spawn: workers inherit no locks or event loops, and each starts
+        # a fresh interpreter, so the worker_thread_env BLAS pins apply
+        self._context = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
         self._workers: List[_WorkerHandle] = [
             _WorkerHandle(

@@ -26,10 +26,9 @@ Two execution engines share this model:
   windowed event loop for wide parse configurations, numpy pack),
   which is what makes full-model cycle-accurate coverage affordable.
   The replay is universal — every parse configuration is cycle-exact —
-  so ``engine="auto"`` (the default) and ``engine="replay"`` are
-  equivalent and never tick the FSM; ``engine="fsm"`` forces the
-  per-cycle reference, e.g. for the equivalence suite in
-  ``tests/test_rtl_replay.py``.
+  so ``engine="replay"`` (the default) never ticks the FSM;
+  ``engine="fsm"`` forces the per-cycle reference, e.g. for the
+  equivalence suite in ``tests/test_rtl_replay.py``.
 
 Tests drive both models on the same stream and assert that (a) the
 decoded/packed output is bit-identical and (b) the analytic model's
@@ -86,13 +85,13 @@ class RtlDecodingUnit:
     DRAM-resident); ``parse_rate`` is how many sequences the parser can
     emit per cycle (1 for a single-ported length table, 2 for the banked
     layout of Table IV).  ``engine`` selects the execution strategy:
-    ``"fsm"`` ticks the per-cycle reference, while ``"replay"`` and
-    ``"auto"`` (the default) run the vectorised replay of
+    ``"replay"`` (the default) runs the vectorised replay of
     :mod:`repro.hw.rtl_fast`, which is cycle-exact for every parse
-    configuration — the FSM is the golden oracle only.
+    configuration, and ``"fsm"`` ticks the per-cycle reference — the
+    golden oracle.
     """
 
-    ENGINES = ("auto", "replay", "fsm")
+    ENGINES = ("replay", "fsm")
 
     def __init__(
         self,
@@ -100,7 +99,7 @@ class RtlDecodingUnit:
         register_bits: int = 128,
         memory_latency: int = 100,
         parse_rate: int = 1,
-        engine: str = "auto",
+        engine: str = "replay",
     ) -> None:
         if register_bits % 64:
             raise ValueError("register width must be a multiple of 64 bits")
@@ -126,7 +125,7 @@ class RtlDecodingUnit:
         every engine; the replay is cycle-exact by construction and the
         equivalence property suite keeps it that way.
         """
-        if self.engine != "fsm":
+        if self.engine == "replay":
             from .rtl_fast import replay_run
 
             return replay_run(

@@ -26,7 +26,7 @@ ticking, in three vectorised stages:
    the FSM's 9 x ``register_bits`` per-bit Python loop.
 
 The replay is **universal**: every parse configuration is cycle-exact
-and ``engine="auto"`` never ticks the FSM (the FSM remains the golden
+and ``engine="replay"`` never ticks the FSM (the FSM remains the golden
 oracle only).  Timing resolves through one of two schedulers.  The FSM
 refills its parse window only while it holds <= 24 bits, so a refill
 tops it up to at least 25 bits whenever bytes are buffered; when

@@ -9,7 +9,8 @@ channel-word kernels (the daBNN layout of Fig. 5) — while the float glue
 layers' own eval-mode forward so the plan's logits are bit-identical to
 the float reference oracle.
 
-Plans compile from two sources:
+Plans compile from two sources, each turned into the same per-layer
+descriptors that one lowering loop pairs and builds steps from:
 
 * :meth:`InferencePlan.from_model` — lower a live
   :class:`~repro.bnn.model.Sequential`; kernels are channel-packed once
@@ -28,7 +29,9 @@ serving path the ROADMAP's production-scale story needs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+)
 
 import numpy as np
 
@@ -193,7 +196,7 @@ class PackedConvStep(PlanStep):
         threads: Optional[int] = None,
     ) -> None:
         # validate the strategy/threads combination at compile time
-        self.base_strategy, self.threads = resolve_strategy(
+        self.strategy, self.threads = resolve_strategy(
             strategy, threads, CONTRACTION_STRATEGIES
         )
         self.source = source
@@ -201,7 +204,6 @@ class PackedConvStep(PlanStep):
         self.padding = padding
         self.shift = None if shift is None else np.asarray(shift, np.float32)
         self.out_channel_chunk = out_channel_chunk
-        self.strategy = strategy
         self.kernel_size = kernel_size
         self.label = label
         self.telemetry = ContractionTelemetry()
@@ -220,11 +222,11 @@ class PackedConvStep(PlanStep):
             patch_words,
             w_words,
             num_bits,
-            self.base_strategy,
+            self.strategy,
             self.threads,
             self.out_channel_chunk,
             kernel_signs=(
-                entry.signs() if self.base_strategy == "gemm" else None
+                entry.signs() if self.strategy == "gemm" else None
             ),
             telemetry=self.telemetry,
         )
@@ -243,11 +245,10 @@ class PackedDenseStep(PlanStep):
         label: str = "BinaryDense",
         threads: Optional[int] = None,
     ) -> None:
-        self.base_strategy, self.threads = resolve_strategy(
+        self.strategy, self.threads = resolve_strategy(
             strategy, threads, CONTRACTION_STRATEGIES
         )
         self.source = source
-        self.strategy = strategy
         self.label = label
         self.telemetry = ContractionTelemetry()
 
@@ -256,13 +257,157 @@ class PackedDenseStep(PlanStep):
         return binary_dense_packed(
             binarize_bits(x),
             entry.operand,
-            strategy=self.base_strategy,
+            strategy=self.strategy,
             weight_signs=(
-                entry.signs() if self.base_strategy == "gemm" else None
+                entry.signs() if self.strategy == "gemm" else None
             ),
             threads=self.threads,
             telemetry=self.telemetry,
         ).astype(np.float32)
+
+
+#: the conv attributes a packed step needs; also the artifact's conv config
+_CONV_GEOMETRY = (
+    "in_channels", "out_channels", "kernel_size", "stride", "padding"
+)
+
+
+class _LayerSpec(NamedTuple):
+    """One source layer, as the shared lowering loop sees it.
+
+    Both plan sources reduce to these descriptors.  ``kind`` is
+    ``"RSign"``, ``"BinaryConv2d"``, ``"BinaryDense"`` or ``"float"``;
+    ``layer`` builds the layer a :class:`FloatStep` runs (lazily, so an
+    artifact rebuilds only the layers it does not fuse); ``shift`` reads
+    an RSign's threshold; ``source`` and ``label`` describe a binary
+    layer, and ``geometry`` a conv's :data:`_CONV_GEOMETRY`.
+    """
+
+    kind: str
+    layer: Callable[[], Layer]
+    shift: Optional[Callable[[], np.ndarray]] = None
+    source: Optional[KernelSource] = None
+    geometry: Optional[Dict[str, int]] = None
+    label: str = ""
+
+
+def _conv_label(geometry: Dict[str, int]) -> str:
+    return (
+        f"BinaryConv2d {geometry['in_channels']}->{geometry['out_channels']} "
+        f"k{geometry['kernel_size']} s{geometry['stride']}"
+    )
+
+
+def _model_spec(layer: Layer) -> _LayerSpec:
+    """Describe one live layer; compiling puts it in inference mode."""
+    layer.eval()
+    if isinstance(layer, RSign):
+        return _LayerSpec(
+            "RSign", lambda: layer, shift=lambda: layer.params["shift"]
+        )
+    if isinstance(layer, BinaryConv2d):
+        geometry = {name: getattr(layer, name) for name in _CONV_GEOMETRY}
+        return _LayerSpec(
+            "BinaryConv2d",
+            lambda: layer,
+            source=_LayerKernelSource(layer.prepare),
+            geometry=geometry,
+            label=_conv_label(geometry),
+        )
+    if isinstance(layer, BinaryDense):
+        return _LayerSpec(
+            "BinaryDense",
+            lambda: layer,
+            source=_LayerKernelSource(layer.prepare),
+            label=f"BinaryDense {layer.in_features}->{layer.out_features}",
+        )
+    return _LayerSpec("float", lambda: layer)
+
+
+def _artifact_spec(
+    reader: ArtifactReader, cache: LruCache, entry: Dict
+) -> _LayerSpec:
+    """Describe one manifest entry; nothing is read or decoded yet."""
+
+    def layer() -> Layer:
+        return reader.rebuild_layer(entry)
+
+    if entry["type"] == "RSign":
+        key = f"{reader.key(entry)}.shift"
+        return _LayerSpec(
+            "RSign", layer, shift=lambda: reader.arrays[key].astype(np.float32)
+        )
+    if entry["type"] == "BinaryConv2d":
+
+        def decode_and_pack() -> KernelEntry:
+            return KernelEntry(
+                pack_kernel_channels(reader.kernel_bits(entry))
+            )
+
+        geometry = entry["config"]
+        return _LayerSpec(
+            "BinaryConv2d",
+            layer,
+            source=lambda: cache.get(entry["index"], decode_and_pack),
+            geometry=geometry,
+            label=f"{_conv_label(geometry)} [{entry['storage']}]",
+        )
+    return _LayerSpec("float", layer)
+
+
+def _lower(
+    specs: Sequence[_LayerSpec],
+    out_channel_chunk: int,
+    strategy: str,
+    threads: Optional[int],
+) -> List[PlanStep]:
+    """The one lowering loop behind :meth:`InferencePlan.from_model` and
+    :meth:`InferencePlan.from_artifact`.
+
+    An RSign followed by a binary conv fuses into one
+    :class:`PackedConvStep` with the RSign's threshold; a bare binary
+    conv or dense layer lowers with no threshold; every other layer runs
+    its own forward in a :class:`FloatStep`.
+    """
+    steps: List[PlanStep] = []
+    index = 0
+    while index < len(specs):
+        spec, shift = specs[index], None
+        if (
+            spec.kind == "RSign"
+            and index + 1 < len(specs)
+            and specs[index + 1].kind == "BinaryConv2d"
+        ):
+            shift = spec.shift()
+            index += 1
+            spec = specs[index]
+        if spec.kind == "BinaryConv2d":
+            steps.append(
+                PackedConvStep(
+                    spec.source,
+                    stride=spec.geometry["stride"],
+                    padding=spec.geometry["padding"],
+                    shift=shift,
+                    out_channel_chunk=out_channel_chunk,
+                    strategy=strategy,
+                    kernel_size=spec.geometry["kernel_size"],
+                    label=spec.label,
+                    threads=threads,
+                )
+            )
+        elif spec.kind == "BinaryDense":
+            steps.append(
+                PackedDenseStep(
+                    spec.source,
+                    strategy=strategy,
+                    label=spec.label,
+                    threads=threads,
+                )
+            )
+        else:
+            steps.append(FloatStep(spec.layer()))
+        index += 1
+    return steps
 
 
 class InferencePlan:
@@ -322,78 +467,10 @@ class InferencePlan:
         ``prepare()`` cache, so a plan stays consistent when the
         optimiser replaces latent weights.
         """
-        steps: List[PlanStep] = []
-        layers = list(model.layers)
-        index = 0
-        while index < len(layers):
-            layer = layers[index]
-            successor = layers[index + 1] if index + 1 < len(layers) else None
-            if isinstance(layer, RSign) and isinstance(successor, BinaryConv2d):
-                steps.append(
-                    cls._conv_step(
-                        successor,
-                        shift=layer.params["shift"],
-                        out_channel_chunk=out_channel_chunk,
-                        strategy=strategy,
-                        threads=threads,
-                    )
-                )
-                layer.eval()
-                successor.eval()
-                index += 2
-            elif isinstance(layer, BinaryConv2d):
-                steps.append(
-                    cls._conv_step(
-                        layer,
-                        shift=None,
-                        out_channel_chunk=out_channel_chunk,
-                        strategy=strategy,
-                        threads=threads,
-                    )
-                )
-                layer.eval()
-                index += 1
-            elif isinstance(layer, BinaryDense):
-                steps.append(
-                    PackedDenseStep(
-                        _LayerKernelSource(layer.prepare),
-                        strategy=strategy,
-                        threads=threads,
-                        label=(
-                            f"BinaryDense {layer.in_features}"
-                            f"->{layer.out_features}"
-                        ),
-                    )
-                )
-                layer.eval()
-                index += 1
-            else:
-                steps.append(FloatStep(layer))
-                index += 1
-        return cls(steps, name=model.name)
-
-    @staticmethod
-    def _conv_step(
-        conv: BinaryConv2d,
-        shift: Optional[np.ndarray],
-        out_channel_chunk: int,
-        strategy: str,
-        threads: Optional[int] = None,
-    ) -> PackedConvStep:
-        label = (
-            f"BinaryConv2d {conv.in_channels}->{conv.out_channels} "
-            f"k{conv.kernel_size} s{conv.stride}"
-        )
-        return PackedConvStep(
-            _LayerKernelSource(conv.prepare),
-            stride=conv.stride,
-            padding=conv.padding,
-            shift=shift,
-            out_channel_chunk=out_channel_chunk,
-            strategy=strategy,
-            kernel_size=conv.kernel_size,
-            label=label,
-            threads=threads,
+        specs = [_model_spec(layer) for layer in model.layers]
+        return cls(
+            _lower(specs, out_channel_chunk, strategy, threads),
+            name=model.name,
         )
 
     @classmethod
@@ -435,77 +512,12 @@ class InferencePlan:
                 1, sum(entry["type"] == "BinaryConv2d" for entry in entries)
             )
         cache = LruCache(maxsize=cache_size)
-        steps: List[PlanStep] = []
-        index = 0
-        while index < len(entries):
-            entry = entries[index]
-            successor = (
-                entries[index + 1] if index + 1 < len(entries) else None
-            )
-            if (
-                entry["type"] == "RSign"
-                and successor is not None
-                and successor["type"] == "BinaryConv2d"
-            ):
-                shift = reader.arrays[
-                    f"{reader.key(entry)}.shift"
-                ].astype(np.float32)
-                steps.append(
-                    cls._artifact_conv_step(
-                        reader, cache, successor, shift,
-                        out_channel_chunk, strategy, threads,
-                    )
-                )
-                index += 2
-            elif entry["type"] == "BinaryConv2d":
-                steps.append(
-                    cls._artifact_conv_step(
-                        reader, cache, entry, None,
-                        out_channel_chunk, strategy, threads,
-                    )
-                )
-                index += 1
-            else:
-                steps.append(FloatStep(reader.rebuild_layer(entry)))
-                index += 1
-        return cls(steps, name=reader.name, kernel_cache=cache, reader=reader)
-
-    @staticmethod
-    def _artifact_conv_step(
-        reader: ArtifactReader,
-        cache: LruCache,
-        entry: Dict,
-        shift: Optional[np.ndarray],
-        out_channel_chunk: int,
-        strategy: str,
-        threads: Optional[int] = None,
-    ) -> PackedConvStep:
-        config = entry["config"]
-        layer_index = entry["index"]
-
-        def decode_and_pack() -> KernelEntry:
-            return KernelEntry(
-                pack_kernel_channels(reader.kernel_bits(entry))
-            )
-
-        def source() -> KernelEntry:
-            return cache.get(layer_index, decode_and_pack)
-
-        label = (
-            f"BinaryConv2d {config['in_channels']}->{config['out_channels']} "
-            f"k{config['kernel_size']} s{config['stride']} "
-            f"[{entry['storage']}]"
-        )
-        return PackedConvStep(
-            source,
-            stride=config["stride"],
-            padding=config["padding"],
-            shift=shift,
-            out_channel_chunk=out_channel_chunk,
-            strategy=strategy,
-            kernel_size=config["kernel_size"],
-            label=label,
-            threads=threads,
+        specs = [_artifact_spec(reader, cache, entry) for entry in entries]
+        return cls(
+            _lower(specs, out_channel_chunk, strategy, threads),
+            name=reader.name,
+            kernel_cache=cache,
+            reader=reader,
         )
 
     # ------------------------------------------------------------------

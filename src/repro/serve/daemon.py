@@ -60,8 +60,8 @@ class ServeConfig:
     #: latency reservoir size per tenant (see ServingMetrics)
     latency_window: int = 8192
     #: default contraction-engine thread count for registered tenants
-    #: (``None`` = strategy decides: serial for the base strategies,
-    #: ``default_threads()`` for the ``*-threaded`` aliases)
+    #: (``None``, 0 and 1 run serial; pass ``default_threads()`` for
+    #: the shared pool's automatic width)
     threads: Optional[int] = None
 
     def __post_init__(self) -> None:

@@ -488,7 +488,9 @@ class RtlBackend(SimulationBackend):
         "packed_words",
     )
 
-    def __init__(self, engine: str = "auto", workers: Optional[int] = None):
+    def __init__(
+        self, engine: str = "replay", workers: Optional[int] = None
+    ):
         if engine not in RtlDecodingUnit.ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; "

@@ -109,7 +109,8 @@ class TestBackendsCommand:
         assert "Contraction strategies" in out
         for strategy in CONTRACTION_STRATEGIES:
             assert strategy in out
-        assert "gemm-threaded" in out
+        assert "default pool width" in out
+        assert "-threaded" not in out
 
 
 class TestInferCommand:
@@ -157,7 +158,7 @@ class TestInferCommand:
     def test_threaded_strategy_reports_telemetry(self, capsys):
         assert main(
             ["infer", "--images", "8", "--batch", "4",
-             "--strategy", "popcount-threaded", "--threads", "2"]
+             "--strategy", "popcount", "--threads", "2"]
         ) == 0
         out = capsys.readouterr().out
         assert "contraction[popcount]" in out
@@ -174,8 +175,9 @@ class TestInferCommand:
                 ["infer", "--strategy", strategy]
             )
             assert parsed.strategy == strategy
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["infer", "--strategy", "simd"])
+        for strategy in ("simd", "gemm-threaded"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["infer", "--strategy", strategy])
 
 
 class TestServeCommand:

@@ -3,29 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.analysis.coders import (
-    _elias_gamma_length,
-    compare_coders,
-    render_coders,
-)
+from repro.analysis.coders import compare_coders, render_coders
+from repro.core.codec import elias_gamma_length
 
 
 class TestEliasGamma:
     def test_one_is_one_bit(self):
-        assert _elias_gamma_length(1) == 1
+        assert elias_gamma_length(1) == 1
 
     def test_powers_of_two(self):
-        assert _elias_gamma_length(2) == 3
-        assert _elias_gamma_length(4) == 5
-        assert _elias_gamma_length(512) == 19
+        assert elias_gamma_length(2) == 3
+        assert elias_gamma_length(4) == 5
+        assert elias_gamma_length(512) == 19
 
     def test_monotone(self):
-        lengths = [_elias_gamma_length(v) for v in range(1, 100)]
+        lengths = [elias_gamma_length(v) for v in range(1, 100)]
         assert all(b >= a for a, b in zip(lengths, lengths[1:]))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            _elias_gamma_length(0)
+            elias_gamma_length(0)
 
 
 class TestComparison:

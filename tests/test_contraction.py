@@ -34,10 +34,6 @@ from repro.bnn.ops import (
 )
 from repro.bnn.packing import pack_bits
 
-THREADED = tuple(
-    name for name in CONTRACTION_STRATEGIES if name.endswith("-threaded")
-)
-
 
 def _conv_case(seed, batch, in_ch, out_ch, size, kernel=3):
     rng = np.random.default_rng(seed)
@@ -68,17 +64,20 @@ def test_conv_threaded_matches_serial_and_reference(
         x_bits * 2.0 - 1.0, k_bits * 2.0 - 1.0, stride=1, padding=1
     )
     for strategy in CONTRACTION_STRATEGIES:
-        out = binary_conv2d_packed(
-            x_bits,
-            k_bits,
-            stride=1,
-            padding=1,
-            out_channel_chunk=chunk,
-            strategy=strategy,
-            threads=threads if strategy in THREADED else None,
-        )
-        assert out.dtype == np.int32
-        assert np.array_equal(out.astype(np.float32), reference), strategy
+        for fan_out in (None, threads):
+            out = binary_conv2d_packed(
+                x_bits,
+                k_bits,
+                stride=1,
+                padding=1,
+                out_channel_chunk=chunk,
+                strategy=strategy,
+                threads=fan_out,
+            )
+            assert out.dtype == np.int32
+            assert np.array_equal(
+                out.astype(np.float32), reference
+            ), (strategy, fan_out)
 
 
 @settings(deadline=None, max_examples=40)
@@ -100,14 +99,17 @@ def test_dense_threaded_matches_serial_and_reference(
         x_bits * 2.0 - 1.0, w_bits * 2.0 - 1.0
     )
     for strategy in CONTRACTION_STRATEGIES:
-        result = binary_dense_packed(
-            x_bits,
-            w_bits,
-            strategy=strategy,
-            threads=threads if strategy in THREADED else None,
-            out_channel_chunk=chunk,
-        )
-        assert np.array_equal(result.astype(np.float32), reference), strategy
+        for fan_out in (None, threads):
+            result = binary_dense_packed(
+                x_bits,
+                w_bits,
+                strategy=strategy,
+                threads=fan_out,
+                out_channel_chunk=chunk,
+            )
+            assert np.array_equal(
+                result.astype(np.float32), reference
+            ), (strategy, fan_out)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -246,12 +248,15 @@ def test_resolve_strategy_rules():
     assert resolve_strategy("popcount", None, strategies) == ("popcount", 1)
     assert resolve_strategy("gemm", 0, strategies) == ("gemm", 1)
     assert resolve_strategy("gemm", 6, strategies) == ("gemm", 6)
-    base, threads = resolve_strategy("popcount-threaded", None, strategies)
-    assert base == "popcount"
-    assert threads == default_threads()
-    assert resolve_strategy("gemm-threaded", 3, strategies) == ("gemm", 3)
-    with pytest.raises(ValueError, match="strategy"):
-        resolve_strategy("xnor", None, strategies)
+    assert resolve_strategy("popcount", default_threads(), strategies) == (
+        "popcount",
+        default_threads(),
+    )
+    # threads= is the only fan-out setting: no strategy name implies one
+    assert strategies == ("popcount", "gemm")
+    for name in ("xnor", "popcount-threaded", "gemm-threaded"):
+        with pytest.raises(ValueError, match="strategy"):
+            resolve_strategy(name, None, strategies)
 
 
 def test_default_threads_env_pin(monkeypatch):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bnn.layers import BinaryConv2d, BinaryDense
+from repro.bnn.layers import BinaryConv2d, BinaryDense, RSign
 from repro.bnn.ops import (
     CONTRACTION_STRATEGIES,
     binary_conv2d_packed,
@@ -31,6 +31,18 @@ from repro.bnn.reactnet import build_small_bnn
 from repro.deploy import save_compressed_model
 from repro.infer import InferencePlan, KernelEntry, LruCache
 from repro.sim import Scenario, Simulator
+
+
+#: every contraction strategy, serial and tiled over two pool threads
+STRATEGY_THREADS = [
+    pytest.param(
+        strategy,
+        threads,
+        id=strategy if threads is None else f"{strategy}-threaded",
+    )
+    for strategy in CONTRACTION_STRATEGIES
+    for threads in (None, 2)
+]
 
 
 @pytest.fixture(scope="module")
@@ -85,18 +97,24 @@ class TestPackedOps:
         assert counts.shape == (rows,)
         assert np.array_equal(counts, _popcount64_bytes(values))
 
-    @pytest.mark.parametrize("strategy", CONTRACTION_STRATEGIES)
-    def test_conv_prepacked_operand_matches_bit_tensor(self, strategy):
+    @pytest.mark.parametrize("strategy, threads", STRATEGY_THREADS)
+    def test_conv_prepacked_operand_matches_bit_tensor(
+        self, strategy, threads
+    ):
         rng = np.random.default_rng(1)
         kernel = rng.integers(0, 2, (8, 16, 3, 3)).astype(np.uint8)
         x = rng.integers(0, 2, (2, 16, 6, 6)).astype(np.uint8)
-        from_bits = binary_conv2d_packed(x, kernel, strategy=strategy)
+        from_bits = binary_conv2d_packed(
+            x, kernel, strategy=strategy, threads=threads
+        )
         prepacked = pack_kernel_channels(kernel)
-        from_words = binary_conv2d_packed(x, prepacked, strategy=strategy)
+        from_words = binary_conv2d_packed(
+            x, prepacked, strategy=strategy, threads=threads
+        )
         assert np.array_equal(from_bits, from_words)
 
-    @pytest.mark.parametrize("strategy", CONTRACTION_STRATEGIES)
-    def test_conv_strategies_match_reference(self, strategy):
+    @pytest.mark.parametrize("strategy, threads", STRATEGY_THREADS)
+    def test_conv_strategies_match_reference(self, strategy, threads):
         rng = np.random.default_rng(2)
         kernel = rng.integers(0, 2, (5, 8, 3, 3)).astype(np.uint8)
         x = rng.integers(0, 2, (3, 8, 5, 5)).astype(np.uint8)
@@ -104,17 +122,25 @@ class TestPackedOps:
             np.where(x.astype(bool), 1.0, -1.0),
             np.where(kernel.astype(bool), 1.0, -1.0),
         ).astype(np.int32)
-        got = binary_conv2d_packed(x, kernel, strategy=strategy)
+        got = binary_conv2d_packed(
+            x, kernel, strategy=strategy, threads=threads
+        )
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("strategy", CONTRACTION_STRATEGIES)
-    def test_dense_prepacked_operand_matches_bit_tensor(self, strategy):
+    @pytest.mark.parametrize("strategy, threads", STRATEGY_THREADS)
+    def test_dense_prepacked_operand_matches_bit_tensor(
+        self, strategy, threads
+    ):
         rng = np.random.default_rng(3)
         weight = rng.integers(0, 2, (6, 70)).astype(np.uint8)
         x = rng.integers(0, 2, (4, 70)).astype(np.uint8)
-        from_bits = binary_dense_packed(x, weight, strategy=strategy)
+        from_bits = binary_dense_packed(
+            x, weight, strategy=strategy, threads=threads
+        )
         prepacked = (pack_bits(weight), weight.shape[-1])
-        from_words = binary_dense_packed(x, prepacked, strategy=strategy)
+        from_words = binary_dense_packed(
+            x, prepacked, strategy=strategy, threads=threads
+        )
         assert np.array_equal(from_bits, from_words)
         expected = binary_dense_reference(
             np.where(x.astype(bool), 1.0, -1.0),
@@ -445,9 +471,13 @@ class TestModelPlan:
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("strategy", CONTRACTION_STRATEGIES)
-    def test_both_strategies_bitexact(self, serving_model, images, strategy):
-        plan = InferencePlan.from_model(serving_model, strategy=strategy)
+    @pytest.mark.parametrize("strategy, threads", STRATEGY_THREADS)
+    def test_both_strategies_bitexact(
+        self, serving_model, images, strategy, threads
+    ):
+        plan = InferencePlan.from_model(
+            serving_model, strategy=strategy, threads=threads
+        )
         expected = chunked_reference(serving_model, images, images.shape[0])
         assert np.array_equal(plan.run_batch(images), expected)
 
@@ -594,6 +624,55 @@ class TestArtifactPlan:
             expected = chunked_reference(deployed, images, batch_size)
             assert np.array_equal(
                 plan.run_batch(images, batch_size=batch_size), expected
+            )
+
+    def test_model_and_artifact_lower_alike(self, tmp_path, images):
+        """Both plan sources share one lowering: same steps, same logits.
+
+        The artifact quantises the 8-bit stem and head, so the logits
+        are compared against the model the artifact holds; the step
+        structure is compared against the model that was saved.
+        """
+        from repro.deploy import load_compressed_model
+
+        model = build_small_bnn(
+            in_channels=1, num_classes=4, image_size=16, channels=(8, 16),
+            seed=3,
+        )
+        rng = np.random.default_rng(3)
+        for layer in model.layers:  # thresholds start at zero
+            if isinstance(layer, RSign):
+                shift = layer.params["shift"]
+                shift[...] = rng.normal(0.0, 0.2, shift.shape)
+        model.train()
+        path = tmp_path / "model.npz"
+        live = InferencePlan.from_model(model)
+        # compiling puts every layer, fused ones included, in eval mode
+        assert not any(layer.training for layer in model.layers)
+        save_compressed_model(model, path)
+        stored = InferencePlan.from_artifact(path)
+
+        assert [step.kind for step in live.steps] == [
+            step.kind for step in stored.steps
+        ]
+        assert live.num_packed_steps == 4
+        for ours, theirs in zip(live.steps, stored.steps):
+            if ours.kind == "float":
+                assert ours.label == theirs.label
+                continue
+            assert (ours.stride, ours.padding, ours.kernel_size) == (
+                theirs.stride, theirs.padding, theirs.kernel_size
+            )
+            assert theirs.label.startswith(f"{ours.label} [")
+            assert ours.shift.dtype == theirs.shift.dtype == np.float32
+            assert ours.shift.any()
+            assert np.array_equal(ours.shift, theirs.shift)
+
+        held = InferencePlan.from_model(load_compressed_model(path))
+        for batch_size in (2, 5, images.shape[0]):
+            assert np.array_equal(
+                held.run_batch(images, batch_size=batch_size),
+                stored.run_batch(images, batch_size=batch_size),
             )
 
     def test_streams_decode_lazily(self, artifact):

@@ -17,9 +17,9 @@ from repro.bnn.reactnet import build_small_bnn
 from repro.bnn.training import train_model
 from repro.core.bitseq import kernel_to_sequences
 from repro.core.clustering import ClusteringConfig
-from repro.core.compressor import KernelCompressor
 from repro.core.frequency import FrequencyTable
 from repro.core.huffman import HuffmanEncoder
+from repro.core.pipeline import CompressionPipeline, PipelineConfig
 from repro.core.simplified import SimplifiedTree
 from repro.core.streams import CompressedKernel
 from repro.hw.config import DecoderConfig
@@ -32,12 +32,18 @@ class TestOfflineFlow:
 
     def test_full_block_pipeline(self, reactnet_kernels):
         kernel = reactnet_kernels[3]
-        compressor = KernelCompressor(
-            clustering=ClusteringConfig(num_common=64, num_rare=256)
+        pipeline = CompressionPipeline(
+            PipelineConfig(
+                clustering=ClusteringConfig(num_common=64, num_rare=256)
+            )
         )
-        result = compressor.compress_block([kernel])
+        result = pipeline.compress_block([kernel])
         # serialise, reload, decode, and verify the clustered kernel
-        blob = result.streams[0].to_bytes()
+        (payload, bit_length), = result.payloads
+        stream = result.codec.to_stream(
+            result.kernel_shapes[0], payload, bit_length
+        )
+        blob = stream.to_bytes()
         reloaded = CompressedKernel.from_bytes(blob)
         decoded = reloaded.decode()
         expected = result.clustering.apply_to_sequences(
@@ -88,7 +94,7 @@ class TestTrainCompressEvaluate:
         )
         train_model(model, ds, epochs=3, seed=11)
         kernels = model.binary_kernel_bits(3)
-        result = KernelCompressor().compress_block(kernels)
+        result = CompressionPipeline().compress_block(kernels)
         decoded = result.decode_kernels()
         for original, roundtripped in zip(kernels, decoded):
             assert np.array_equal(original, roundtripped)

@@ -6,7 +6,6 @@ import pytest
 from repro.core.bitseq import kernel_to_sequences, sequences_to_kernel
 from repro.core.clustering import ClusteringConfig
 from repro.core.codec import available_codecs
-from repro.core.compressor import KernelCompressor
 from repro.core.pipeline import (
     CompressionPipeline,
     PipelineConfig,
@@ -88,25 +87,6 @@ class TestCompressBlock:
         )
         decoded = kernel_to_sequences(result.decode_kernels()[0])
         assert np.array_equal(decoded, expected)
-
-    def test_parity_with_kernel_compressor(self, skewed_kernel):
-        """The legacy wrapper and the pipeline agree bit for bit."""
-        clustering = ClusteringConfig(num_common=64, num_rare=256)
-        legacy = KernelCompressor(clustering=clustering).compress_block(
-            [skewed_kernel]
-        )
-        pipeline = CompressionPipeline(
-            PipelineConfig(clustering=clustering)
-        ).compress_block([skewed_kernel])
-        assert pipeline.payloads[0][0] == legacy.streams[0].payload
-        assert pipeline.payloads[0][1] == legacy.streams[0].bit_length
-        assert pipeline.compressed_bits == legacy.compressed_bits
-        assert pipeline.raw_bits == legacy.raw_bits
-        assert pipeline.compression_ratio == legacy.compression_ratio
-        assert (
-            pipeline.codec.tree.assignment.node_tables
-            == legacy.tree.assignment.node_tables
-        )
 
 
 class TestCompressModel:

@@ -143,11 +143,11 @@ class TestResidualModel:
 
     def test_residual_kernels_compress_like_plain(self, rng):
         """Compression only sees kernel bits — wrapper must be transparent."""
-        from repro.core.compressor import KernelCompressor
+        from repro.core.pipeline import CompressionPipeline
 
         model = build_small_bnn(channels=(8, 16), residual=True)
         kernels = model.binary_kernel_bits(3)
-        result = KernelCompressor().compress_block(kernels)
+        result = CompressionPipeline().compress_block(kernels)
         decoded = result.decode_kernels()
         for original, roundtrip in zip(kernels, decoded):
             assert np.array_equal(original, roundtrip)
